@@ -115,12 +115,6 @@ void encode_into(const Heartbeat& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const Heartbeat& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<Heartbeat> decode_heartbeat(std::span<const std::byte> data) {
   auto r = body(data, MsgType::kHeartbeat);
   if (!r) return std::nullopt;
@@ -142,12 +136,6 @@ void encode_into(const Submit& m, util::Writer& w) {
   put_endpoint(w, m.origin);
   w.blob(m.payload);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Submit& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Submit> decode_submit(std::span<const std::byte> data) {
@@ -177,12 +165,6 @@ void encode_into(const Ordered& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const Ordered& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<Ordered> decode_ordered(std::span<const std::byte> data) {
   auto r = body(data, MsgType::kOrdered);
   if (!r) return std::nullopt;
@@ -207,12 +189,6 @@ void encode_into(const RetransReq& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const RetransReq& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<RetransReq> decode_retrans_req(std::span<const std::byte> data) {
   auto r = body(data, MsgType::kRetransReq);
   if (!r) return std::nullopt;
@@ -229,12 +205,6 @@ void encode_into(const Propose& m, util::Writer& w) {
   put_view_id(w, m.pv);
   put_nodes(w, m.members);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Propose& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Propose> decode_propose(std::span<const std::byte> data) {
@@ -255,12 +225,6 @@ void encode_into(const ProposeAck& m, util::Writer& w) {
   w.u64(m.next_submit_seq);
   put_regs(w, m.regs);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const ProposeAck& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<ProposeAck> decode_propose_ack(std::span<const std::byte> data) {
@@ -286,12 +250,6 @@ void encode_into(const FlushTarget& m, util::Writer& w) {
     w.u32(e.holder);
   }
   util::frame_seal(w);
-}
-
-util::Bytes encode(const FlushTarget& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<FlushTarget> decode_flush_target(
@@ -320,12 +278,6 @@ void encode_into(const FlushDone& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const FlushDone& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<FlushDone> decode_flush_done(std::span<const std::byte> data) {
   auto r = body(data, MsgType::kFlushDone);
   if (!r) return std::nullopt;
@@ -347,12 +299,6 @@ void encode_into(const Install& m, util::Writer& w) {
     w.u64(seq);
   }
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Install& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Install> decode_install(std::span<const std::byte> data) {

@@ -130,15 +130,13 @@ void encode_into(const FlushTarget& m, util::Writer& w);
 void encode_into(const FlushDone& m, util::Writer& w);
 void encode_into(const Install& m, util::Writer& w);
 
-util::Bytes encode(const Heartbeat& m);
-util::Bytes encode(const Submit& m);
-util::Bytes encode(const Ordered& m);
-util::Bytes encode(const RetransReq& m);
-util::Bytes encode(const Propose& m);
-util::Bytes encode(const ProposeAck& m);
-util::Bytes encode(const FlushTarget& m);
-util::Bytes encode(const FlushDone& m);
-util::Bytes encode(const Install& m);
+template <typename M>
+  requires requires(const M& m, util::Writer& w) { encode_into(m, w); }
+util::Bytes encode(const M& m) {
+  util::Writer w;
+  encode_into(m, w);
+  return w.take();
+}
 
 /// Peeks the type tag; nullopt for an empty/garbage datagram.
 std::optional<MsgType> peek_type(std::span<const std::byte> data);

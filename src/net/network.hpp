@@ -14,7 +14,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
@@ -111,7 +110,15 @@ class Network {
     bool alive = true;
     sim::Time uplink_free_at = 0;    // when the uplink drains its queue
     sim::Time downlink_free_at = 0;  // when the downlink drains its queue
-    std::unordered_map<Port, Socket*> sockets;
+    /// Bound sockets. A host binds one or two ports, so a linear scan of
+    /// a flat vector beats hashing on the per-datagram hand-off.
+    std::vector<std::pair<Port, Socket*>> sockets;
+    [[nodiscard]] Socket* socket_at(Port port) const {
+      for (const auto& [p, s] : sockets) {
+        if (p == port) return s;
+      }
+      return nullptr;
+    }
     std::vector<std::function<void()>> crash_listeners;
     HostStats stats;
   };

@@ -2,8 +2,6 @@
 // destruction, so owning objects can hold them by value.
 #pragma once
 
-#include <functional>
-
 #include "sim/scheduler.hpp"
 
 namespace ftvod::sim {
@@ -29,7 +27,7 @@ class OneShotTimer {
 /// the new period takes effect after the next tick.
 class PeriodicTimer {
  public:
-  PeriodicTimer(Scheduler& sched, Duration period, std::function<void()> fn)
+  PeriodicTimer(Scheduler& sched, Duration period, Scheduler::Callback fn)
       : sched_(&sched), period_(period), fn_(std::move(fn)) {}
   ~PeriodicTimer() { stop(); }
   PeriodicTimer(const PeriodicTimer&) = delete;
@@ -49,7 +47,7 @@ class PeriodicTimer {
 
   Scheduler* sched_;
   Duration period_;
-  std::function<void()> fn_;
+  Scheduler::Callback fn_;
   Scheduler::EventHandle handle_;
 };
 

@@ -10,12 +10,15 @@
 //                    victim is an incremental frame when possible (Fig 5b),
 //  * skipped       — never displayed (gaps observed at display time: lost,
 //                    late-dropped or overflow-discarded; Figs 4a/5a).
+//
+// Both stages are flat rings of FrameInfo allocated when the buffer is built
+// (DESIGN.md §5, frame-path layout), so a frame's arrival, transfer and display
+// touch no heap and stay in a few cache lines of per-client state.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "mpeg/frame.hpp"
 
@@ -33,11 +36,10 @@ struct BufferCounters {
 
 class ClientBuffers {
  public:
+  /// Throws std::invalid_argument for a zero software capacity: the
+  /// re-ordering window must hold at least the frame being placed.
   ClientBuffers(std::size_t sw_capacity_frames, std::size_t hw_capacity_bytes,
-                std::uint32_t avg_frame_bytes)
-      : sw_capacity_(sw_capacity_frames),
-        hw_capacity_bytes_(hw_capacity_bytes),
-        avg_frame_bytes_(avg_frame_bytes == 0 ? 1 : avg_frame_bytes) {}
+                std::uint32_t avg_frame_bytes);
 
   /// A frame arrived from the network.
   void insert(const mpeg::FrameInfo& frame);
@@ -80,14 +82,64 @@ class ClientBuffers {
   [[nodiscard]] std::int64_t last_displayed() const { return last_displayed_; }
 
  private:
+  /// A FIFO of frames in a power-of-two ring, addressable by position from
+  /// the head. Positional insert and erase shift the elements behind the
+  /// position, which is short when (as in a re-ordering window) they happen
+  /// near the tail. Grows by doubling only when pushed while full.
+  class FrameRing {
+   public:
+    explicit FrameRing(std::size_t min_capacity);
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+
+    /// i-th element from the head; i < size().
+    [[nodiscard]] const mpeg::FrameInfo& operator[](std::size_t i) const {
+      return slots_[(head_ + i) & mask_];
+    }
+    [[nodiscard]] const mpeg::FrameInfo& front() const {
+      return slots_[head_];
+    }
+    [[nodiscard]] const mpeg::FrameInfo& back() const {
+      return (*this)[size_ - 1];
+    }
+
+    void push_back(const mpeg::FrameInfo& f);
+    void pop_front() {
+      head_ = (head_ + 1) & mask_;
+      --size_;
+    }
+    /// Inserts before position i (i <= size()).
+    void insert(std::size_t i, const mpeg::FrameInfo& f);
+    /// Removes position i (i < size()).
+    void erase(std::size_t i);
+    void clear() {
+      head_ = 0;
+      size_ = 0;
+    }
+
+   private:
+    mpeg::FrameInfo& at(std::size_t i) { return slots_[(head_ + i) & mask_]; }
+    void grow();
+
+    std::vector<mpeg::FrameInfo> slots_;
+    std::size_t mask_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   void transfer_to_hardware();
 
   std::size_t sw_capacity_;
   std::size_t hw_capacity_bytes_;
   std::uint32_t avg_frame_bytes_;
 
-  std::map<std::uint64_t, mpeg::FrameInfo> software_;  // keyed by index
-  std::deque<mpeg::FrameInfo> hardware_;               // display order
+  /// Re-ordering window, sorted by frame index with no duplicates; holds at
+  /// most sw_capacity_ frames, so it never grows past its first allocation.
+  FrameRing software_;
+  /// Decoder buffer in display order. Bounded by bytes, not frames, so it
+  /// may grow (doubling) during warm-up; it never shrinks.
+  FrameRing hardware_;
   std::size_t hw_bytes_ = 0;
   /// Highest frame index ever streamed into the hardware decoder; frames at
   /// or below it can no longer be re-ordered in and count as late.

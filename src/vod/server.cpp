@@ -1,6 +1,7 @@
 #include "vod/server.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "util/log.hpp"
 
@@ -628,15 +629,14 @@ double VodServer::effective_rate(const Session& s) const {
 void VodServer::arm_send_timer(Session& s) {
   const double rate = effective_rate(s);
   const auto period = static_cast<sim::Duration>(1e6 / rate);
-  const std::uint64_t client_id = s.rec.client_id;
-  s.send_timer.arm(period, [this, client_id] { send_tick(client_id); });
+  // The slab slot is stable and close_session()/halt() cancel this timer,
+  // so the callback can address the session directly.
+  s.send_timer.arm(period, [this, &s] { send_tick(s); });
 }
 
-void VodServer::send_tick(std::uint64_t client_id) {
+void VodServer::send_tick(Session& s) {
   if (halted_) return;
-  Session* sp = find_session(client_id);
-  if (sp == nullptr) return;
-  Session& s = *sp;
+  assert(s.in_use);
   if (s.rec.paused || s.finished) return;
 
   // Emergency decay is evaluated on the send path (§4.1: once per second).
@@ -657,7 +657,7 @@ void VodServer::send_tick(std::uint64_t client_id) {
   }
 
   const mpeg::FrameInfo frame = s.movie->frame(s.rec.next_frame);
-  wire::Frame msg{client_id, frame.index, frame.type, frame.size_bytes};
+  wire::Frame msg{s.rec.client_id, frame.index, frame.type, frame.size_bytes};
   // Encode into the server-lifetime scratch writer: the per-frame hot path
   // touches no heap once the writer and the network's buffer pool are warm.
   wire::encode_into(msg, frame_writer_);

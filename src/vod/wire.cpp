@@ -63,12 +63,6 @@ void encode_into(const OpenRequest& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const OpenRequest& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<OpenRequest> decode_open_request(std::span<const std::byte> d) {
   auto r = body(d, MsgType::kOpenRequest);
   if (!r) return std::nullopt;
@@ -92,12 +86,6 @@ void encode_into(const OpenReply& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const OpenReply& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<OpenReply> decode_open_reply(std::span<const std::byte> d) {
   auto r = body(d, MsgType::kOpenReply);
   if (!r) return std::nullopt;
@@ -119,12 +107,6 @@ void encode_into(const Flow& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const Flow& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<Flow> decode_flow(std::span<const std::byte> d) {
   auto r = body(d, MsgType::kFlow);
   if (!r) return std::nullopt;
@@ -141,12 +123,6 @@ void encode_into(const Emergency& m, util::Writer& w) {
   w.u64(m.client_id);
   w.u8(m.tier);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Emergency& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Emergency> decode_emergency(std::span<const std::byte> d) {
@@ -168,12 +144,6 @@ void encode_into(const Vcr& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
-util::Bytes encode(const Vcr& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
-}
-
 std::optional<Vcr> decode_vcr(std::span<const std::byte> d) {
   auto r = body(d, MsgType::kVcr);
   if (!r) return std::nullopt;
@@ -191,12 +161,6 @@ void encode_into(const SetQuality& m, util::Writer& w) {
   w.u64(m.client_id);
   w.f64(m.fps);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const SetQuality& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<SetQuality> decode_set_quality(std::span<const std::byte> d) {
@@ -225,12 +189,6 @@ void encode_into(const StateSync& m, util::Writer& w) {
     w.boolean(c.paused);
   }
   util::frame_seal(w);
-}
-
-util::Bytes encode(const StateSync& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<StateSync> decode_state_sync(std::span<const std::byte> d) {
@@ -269,12 +227,6 @@ void encode_into(const Frame& m, util::Writer& w) {
   w.u8(static_cast<std::uint8_t>(m.type));
   w.u32(m.size_bytes);
   util::frame_seal(w);
-}
-
-util::Bytes encode(const Frame& m) {
-  util::Writer w;
-  encode_into(m, w);
-  return w.take();
 }
 
 std::optional<Frame> decode_frame(std::span<const std::byte> d) {

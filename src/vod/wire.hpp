@@ -116,14 +116,13 @@ void encode_into(const SetQuality& m, util::Writer& w);
 void encode_into(const StateSync& m, util::Writer& w);
 void encode_into(const Frame& m, util::Writer& w);
 
-util::Bytes encode(const OpenRequest& m);
-util::Bytes encode(const OpenReply& m);
-util::Bytes encode(const Flow& m);
-util::Bytes encode(const Emergency& m);
-util::Bytes encode(const Vcr& m);
-util::Bytes encode(const SetQuality& m);
-util::Bytes encode(const StateSync& m);
-util::Bytes encode(const Frame& m);
+template <typename M>
+  requires requires(const M& m, util::Writer& w) { encode_into(m, w); }
+util::Bytes encode(const M& m) {
+  util::Writer w;
+  encode_into(m, w);
+  return w.take();
+}
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data);
 std::optional<OpenRequest> decode_open_request(std::span<const std::byte> d);

@@ -74,15 +74,16 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace ftvod::vod {
 namespace {
 
-// Committed regression thresholds. Measured steady state at commit time
-// (release build, 500 clients, ~430 watching): 9.8 allocs/frame — all of
-// it session churn and control-loop bookkeeping; the frame send path
-// itself is proven allocation-free by scheduler_slab_test — and 160
-// events/(client*sim-s). The event rate is fully deterministic (same seed,
-// same count), so its headroom is pure regression budget; the allocation
-// headroom additionally absorbs stdlib drift. An O(clients) periodic scan
-// or a per-event allocation blows past either bound immediately.
-constexpr double kMaxAllocsPerFrame = 20.0;
+// Committed regression thresholds. Measured steady state (RelWithDebInfo, 500
+// clients, ~430 watching): 9.0 allocs/frame and 158.5 events/(client*sim-s).
+// The frame path itself — send timer, encode, network hand-off and the client's
+// buffer insert/display — is proven allocation-free by scheduler_slab_test, so
+// the allocations counted here are session churn and control-plane bookkeeping.
+// The event rate is fully deterministic (same seed, same count), so its
+// headroom is pure regression budget; the allocation headroom additionally
+// absorbs stdlib drift. An O(clients) periodic scan or a per-event allocation
+// blows past either bound immediately.
+constexpr double kMaxAllocsPerFrame = 12.0;
 constexpr double kMaxEventsPerClientSimSecond = 200.0;
 
 TEST(ScaleSmoke, FiveHundredClientsStayWithinPerFrameBudgets) {

@@ -1,10 +1,10 @@
-// Property tests for the slab scheduler: handle safety across slot
-// recycling, tombstone semantics, and counting-allocator proofs that the
-// steady-state paths (timer re-arm loop; frame encode + network send) stay
-// off the heap once warm. The binary overrides the global allocator to
-// count every allocation, including any hidden inside std::function or
-// shared_ptr — a regression that reintroduces per-event allocations fails
-// these tests, not just the benchmark.
+// Property tests for the slab scheduler: handle safety across slot recycling,
+// tombstone semantics, and counting-allocator proofs that the steady-state
+// paths (timer re-arm loop; frame encode + network send; the client's buffer
+// insert + display) stay off the heap once warm. The binary overrides the
+// global allocator to count every allocation, including any hidden inside
+// std::function or shared_ptr — a regression that reintroduces per-event
+// allocations fails these tests, not just the benchmark.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,6 +16,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
 #include "util/rng.hpp"
+#include "vod/client_buffer.hpp"
 #include "vod/wire.hpp"
 
 // Under AddressSanitizer the global allocator belongs to ASan: replacing
@@ -222,6 +223,41 @@ TEST(SchedulerSlab, FrameSendPathAllocationFree) {
   const std::uint64_t frames_before = frames_received;
   sched.run_until(sched.now() + sec(30.0));
   EXPECT_GT(frames_received, frames_before + 800);
+  if (kCountingAlloc) EXPECT_EQ(g_allocs - allocs_before, 0u);
+}
+
+// The receive end of the frame path: once the client's two buffer stages
+// have reached their high-water marks, arrivals (in order, re-ordered and
+// duplicated), transfers into the decoder, displays and seeks must not
+// allocate.
+TEST(SchedulerSlab, ClientBufferInsertConsumeAllocationFree) {
+  vod::ClientBuffers buf(37, 240 * 1024, 5833);
+  std::uint64_t next = 0;
+  auto frame = [](std::uint64_t i) {
+    if (i % 12 == 0) return mpeg::FrameInfo{i, mpeg::FrameType::kI, 20'000};
+    if (i % 3 == 0) return mpeg::FrameInfo{i, mpeg::FrameType::kP, 6'000};
+    return mpeg::FrameInfo{i, mpeg::FrameType::kB, 2'500};
+  };
+  auto drive = [&](int periods) {
+    for (int p = 0; p < periods; ++p) {
+      if (p % 5 == 0) {  // a swapped pair: the later frame overtakes
+        buf.insert(frame(next + 1));
+        buf.insert(frame(next));
+        next += 2;
+      } else {
+        buf.insert(frame(next++));
+      }
+      if (p % 9 == 0) buf.insert(frame(next - 1));  // duplicate
+      if (p % 3 != 0) (void)buf.consume();  // arrivals outpace display
+      if (p % 4'000 == 3'999) buf.flush_to(next += 100);  // seek
+    }
+  };
+  drive(4'000);  // warm-up: both rings reach their high-water marks
+  const std::uint64_t allocs_before = g_allocs;
+  const std::uint64_t displayed_before = buf.counters().displayed;
+  drive(40'000);
+  EXPECT_GT(buf.counters().displayed, displayed_before + 20'000);
+  EXPECT_GT(buf.counters().overflow_discards, 0u);
   if (kCountingAlloc) EXPECT_EQ(g_allocs - allocs_before, 0u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace ftvod::sim {
@@ -114,6 +115,18 @@ TEST(PeriodicTimer, DestructionCancels) {
   }
   s.run_until(100);
   EXPECT_EQ(count, 2);
+}
+
+TEST(PeriodicTimer, HoldsMoveOnlyCallable) {
+  // Both timer kinds take the scheduler's own callable type, so a callback
+  // may own move-only state (std::function would not accept this).
+  Scheduler s;
+  auto count = std::make_unique<int>(0);
+  int* seen = count.get();
+  PeriodicTimer t(s, 10, [c = std::move(count)] { ++*c; });
+  t.start();
+  s.run_until(35);
+  EXPECT_EQ(*seen, 3);
 }
 
 }  // namespace

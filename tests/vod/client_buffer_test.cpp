@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 namespace ftvod::vod {
 namespace {
@@ -201,6 +205,18 @@ TEST(ClientBuffers, PaperSizedBuffersHoldAbout2Point4Seconds) {
   EXPECT_NEAR(seconds, 2.4, 0.3);
 }
 
+TEST(ClientBuffers, ZeroSoftwareCapacityRejected) {
+  // A zero-frame re-ordering window has no room for the frame being placed:
+  // the overflow path would look for a victim in an empty window.
+  EXPECT_THROW(ClientBuffers(0, 3 * 5000, 5000), std::invalid_argument);
+  ClientBuffers one(1, 5000, 5000);
+  one.insert(frame(0, mpeg::FrameType::kI));
+  one.insert(frame(1, mpeg::FrameType::kI));
+  one.insert(frame(2, mpeg::FrameType::kI));  // overflows the single slot
+  EXPECT_EQ(one.counters().overflow_discarded_i_frames, 1u);
+  EXPECT_DOUBLE_EQ(one.sw_occupancy_fraction(), 1.0);
+}
+
 class BufferFuzz : public ::testing::TestWithParam<unsigned> {};
 
 // Random arrival orders with drops and duplicates: displayed indices are
@@ -240,6 +256,215 @@ TEST_P(BufferFuzz, InvariantsUnderRandomTraffic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferFuzz, ::testing::Range(0u, 8u));
+
+/// Reference model: the straightforward tree-and-deque form of the same
+/// rules (software window keyed by index, decoder FIFO), kept here so the
+/// ring implementation can be checked against it step by step.
+class MapBuffers {
+ public:
+  MapBuffers(std::size_t sw_cap, std::size_t hw_cap_bytes)
+      : sw_cap_(sw_cap), hw_cap_(hw_cap_bytes) {}
+
+  void insert(const mpeg::FrameInfo& f) {
+    ++c.received;
+    if (static_cast<std::int64_t>(f.index) <= horizon_ ||
+        sw_.contains(f.index)) {
+      ++c.late;
+      return;
+    }
+    if (sw_.size() >= sw_cap_) {
+      auto victim = sw_.end();
+      for (auto it = sw_.rbegin(); it != sw_.rend(); ++it) {
+        if (it->second.type != mpeg::FrameType::kI) {
+          victim = std::prev(it.base());
+          break;
+        }
+      }
+      ++c.overflow_discards;
+      if (victim == sw_.end()) {
+        if (f.type != mpeg::FrameType::kI) return;
+        victim = std::prev(sw_.end());
+        ++c.overflow_discarded_i_frames;
+      }
+      sw_.erase(victim);
+    }
+    sw_.emplace(f.index, f);
+    transfer();
+  }
+
+  std::optional<mpeg::FrameInfo> consume() {
+    if (hw_.empty()) {
+      ++c.starvation_ticks;
+      return std::nullopt;
+    }
+    const mpeg::FrameInfo f = hw_.front();
+    hw_.pop_front();
+    hw_bytes -= f.size_bytes;
+    const auto idx = static_cast<std::int64_t>(f.index);
+    if (last_displayed >= 0 && idx > last_displayed + 1) {
+      c.skipped += static_cast<std::uint64_t>(idx - last_displayed - 1);
+    }
+    last_displayed = idx;
+    ++c.displayed;
+    transfer();
+    return f;
+  }
+
+  void flush_to(std::uint64_t next) {
+    sw_.clear();
+    hw_.clear();
+    hw_bytes = 0;
+    horizon_ = static_cast<std::int64_t>(next) - 1;
+    last_displayed = static_cast<std::int64_t>(next) - 1;
+  }
+
+  [[nodiscard]] std::size_t sw_frames() const { return sw_.size(); }
+  [[nodiscard]] std::size_t hw_frames() const { return hw_.size(); }
+
+  BufferCounters c;
+  std::size_t hw_bytes = 0;
+  std::int64_t last_displayed = -1;
+
+ private:
+  void transfer() {
+    while (!sw_.empty()) {
+      const mpeg::FrameInfo& head = sw_.begin()->second;
+      if (hw_bytes + head.size_bytes > hw_cap_ && !hw_.empty()) break;
+      hw_.push_back(head);
+      hw_bytes += head.size_bytes;
+      horizon_ = static_cast<std::int64_t>(head.index);
+      sw_.erase(sw_.begin());
+    }
+  }
+
+  std::size_t sw_cap_;
+  std::size_t hw_cap_;
+  std::map<std::uint64_t, mpeg::FrameInfo> sw_;
+  std::deque<mpeg::FrameInfo> hw_;
+  std::int64_t horizon_ = -1;
+};
+
+void expect_same_counters(const BufferCounters& a, const BufferCounters& b) {
+  EXPECT_EQ(a.received, b.received);
+  EXPECT_EQ(a.late, b.late);
+  EXPECT_EQ(a.overflow_discards, b.overflow_discards);
+  EXPECT_EQ(a.overflow_discarded_i_frames, b.overflow_discarded_i_frames);
+  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.displayed, b.displayed);
+  EXPECT_EQ(a.starvation_ticks, b.starvation_ticks);
+}
+
+class BufferDifferential : public ::testing::TestWithParam<unsigned> {};
+
+// Drives the ring buffers and the reference model with one random sequence
+// (in-order, jittered, duplicate and far-ahead arrivals; I-frame-only
+// stretches that reach both all-I overflow branches; mixed frame sizes
+// including oversized ones; seeks) and requires identical counters,
+// occupancy and displayed sequence after every step.
+TEST_P(BufferDifferential, MatchesTreeReferenceModel) {
+  std::mt19937 gen(GetParam() * 7919 + 3);
+  const std::size_t sw_cap = 1 + GetParam() % 9;
+  const std::size_t hw_cap = (2 + GetParam() % 5) * 5000;
+  ClientBuffers ring(sw_cap, hw_cap, 5000);
+  MapBuffers ref(sw_cap, hw_cap);
+  std::uniform_int_distribution<int> pick(0, 99);
+  std::uniform_int_distribution<int> jitter(-4, 4);
+  std::uniform_int_distribution<std::uint32_t> bytes(500, 12'000);
+  std::uint64_t next = 0;
+  bool all_i = false;
+  std::vector<std::uint64_t> shown_ring;
+  std::vector<std::uint64_t> shown_ref;
+  for (int step = 0; step < 20'000; ++step) {
+    if (step % 500 == 0) all_i = pick(gen) < 30;  // I-frame-only stretch
+    const int a = pick(gen);
+    auto type = [&](std::uint64_t idx) {
+      if (all_i && pick(gen) < 90) return mpeg::FrameType::kI;
+      return idx % 12 == 0 ? mpeg::FrameType::kI
+                           : (idx % 3 == 0 ? mpeg::FrameType::kP
+                                           : mpeg::FrameType::kB);
+    };
+    if (a < 40) {  // in order
+      const mpeg::FrameInfo f{next, type(next), bytes(gen)};
+      ring.insert(f);
+      ref.insert(f);
+      ++next;
+    } else if (a < 58) {  // jittered (re-ordered or behind the horizon)
+      const std::int64_t idx = static_cast<std::int64_t>(next) + jitter(gen);
+      if (idx >= 0) {
+        const auto u = static_cast<std::uint64_t>(idx);
+        const mpeg::FrameInfo f{u, type(u), bytes(gen)};
+        ring.insert(f);
+        ref.insert(f);
+      }
+      ++next;
+    } else if (a < 63) {  // duplicate of a recent frame
+      const std::uint64_t u = next > 2 ? next - 1 - pick(gen) % 3 : 0;
+      const mpeg::FrameInfo f{u, type(u), bytes(gen)};
+      ring.insert(f);
+      ref.insert(f);
+    } else if (a < 66) {  // far ahead (a burst was lost)
+      next += 5 + pick(gen) % 40;
+      const mpeg::FrameInfo f{next, type(next), bytes(gen)};
+      ring.insert(f);
+      ref.insert(f);
+      ++next;
+    } else if (a < 99) {
+      const auto r1 = ring.consume();
+      const auto r2 = ref.consume();
+      ASSERT_EQ(r1.has_value(), r2.has_value());
+      if (r1) {
+        shown_ring.push_back(r1->index);
+        shown_ref.push_back(r2->index);
+        EXPECT_EQ(r1->type, r2->type);
+        EXPECT_EQ(r1->size_bytes, r2->size_bytes);
+      }
+    } else {  // VCR seek, forward or backward
+      next = pick(gen) < 50 ? next + pick(gen) : next / 2;
+      ring.flush_to(next);
+      ref.flush_to(next);
+    }
+    ASSERT_EQ(ring.sw_frames(), ref.sw_frames()) << "step " << step;
+    ASSERT_EQ(ring.hw_frames(), ref.hw_frames()) << "step " << step;
+    ASSERT_EQ(ring.hw_bytes(), ref.hw_bytes) << "step " << step;
+    ASSERT_EQ(ring.last_displayed(), ref.last_displayed) << "step " << step;
+  }
+  expect_same_counters(ring.counters(), ref.c);
+  EXPECT_EQ(shown_ring, shown_ref);
+  // The sequence must actually have reached every branch it claims to cover.
+  EXPECT_GT(ref.c.late, 0u);
+  EXPECT_GT(ref.c.overflow_discards, 0u);
+  EXPECT_GT(ref.c.skipped, 0u);
+  EXPECT_GT(ref.c.starvation_ticks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BufferDifferential, ::testing::Range(0u, 12u));
+
+// The all-I overflow branches are reached with certainty only when the
+// window is small and saturated; check both against the model directly.
+TEST(BufferDifferential, AllIFrameOverflowBranchesMatch) {
+  for (const auto incoming : {mpeg::FrameType::kB, mpeg::FrameType::kI}) {
+    ClientBuffers ring(3, 5000, 5000);
+    MapBuffers ref(3, 5000);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      const mpeg::FrameInfo f{i, mpeg::FrameType::kI, 5000};
+      ring.insert(f);
+      ref.insert(f);
+    }
+    const mpeg::FrameInfo reordered{9, incoming, 5000};
+    const mpeg::FrameInfo between{6, incoming, 5000};
+    for (const auto& f : {reordered, between}) {
+      ring.insert(f);
+      ref.insert(f);
+    }
+    expect_same_counters(ring.counters(), ref.c);
+    EXPECT_EQ(ring.sw_frames(), ref.sw_frames());
+    std::vector<std::uint64_t> a;
+    std::vector<std::uint64_t> b;
+    while (auto f = ring.consume()) a.push_back(f->index);
+    while (auto f = ref.consume()) b.push_back(f->index);
+    EXPECT_EQ(a, b);
+  }
+}
 
 }  // namespace
 }  // namespace ftvod::vod

@@ -43,6 +43,7 @@ static void BM_CodecEncodeStateSyncLike(benchmark::State& state) {
 BENCHMARK(BM_CodecEncodeStateSyncLike)->Arg(1)->Arg(16)->Arg(256);
 
 static void BM_CodecDecodeOrdered(benchmark::State& state) {
+  const util::Bytes payload(static_cast<std::size_t>(state.range(0)));
   gcs::wire::Ordered msg;
   msg.view = {7, 1};
   msg.gseq = 42;
@@ -50,7 +51,7 @@ static void BM_CodecDecodeOrdered(benchmark::State& state) {
   msg.sender_seq = 99;
   msg.group = "vod.session.1234567";
   msg.origin = {3, 2};
-  msg.payload.resize(static_cast<std::size_t>(state.range(0)));
+  msg.payload = payload;
   const util::Bytes bytes = gcs::wire::encode(msg);
   for (auto _ : state) {
     auto decoded = gcs::wire::decode_ordered(bytes);

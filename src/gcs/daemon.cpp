@@ -14,6 +14,17 @@ constexpr std::string_view kLog = "gcs";
 constexpr std::uint32_t kNonMemberLocal = 0;
 /// Upper bound on ordered messages re-sent per retransmission request.
 constexpr std::size_t kMaxRetransBatch = 2000;
+
+/// map[key] for a string-keyed map with a transparent comparator, building
+/// the key string only when the entry is new.
+template <typename Map>
+typename Map::mapped_type& entry(Map& map, std::string_view key) {
+  auto it = map.find(key);
+  if (it == map.end()) {
+    it = map.emplace(std::string(key), typename Map::mapped_type{}).first;
+  }
+  return it->second;
+}
 }  // namespace
 
 // ---------------------------------------------------------------- GroupMember
@@ -159,83 +170,75 @@ void Daemon::member_leave(GroupMember& member) {
 void Daemon::on_datagram(const net::Endpoint& from,
                          std::span<const std::byte> data) {
   if (halted_ || paused_) return;
-  // Integrity gate: a datagram that fails length/CRC verification carries no
-  // trustworthy information at all — not even its claimed sender — so it
-  // must not refresh liveness or reach a decoder.
+  // Demux on the tag, then decode: the decoder verifies length + CRC32C, so
+  // a datagram that is acted on is checksummed exactly once, and liveness
+  // is refreshed only after that check has passed.
+  const net::NodeId peer = from.node;
+  const auto accept = [&](const auto& decoded, auto handle) {
+    if (!decoded) return false;
+    note_alive(peer);
+    handle(*decoded);
+    return true;
+  };
+  bool handled = false;
+  if (const auto type = wire::peek_type(data)) {
+    switch (*type) {
+      case wire::MsgType::kHeartbeat:
+        handled = accept(wire::decode_heartbeat(data),
+                         [&](const auto& m) { handle_heartbeat(peer, m); });
+        break;
+      case wire::MsgType::kSubmit:
+        handled = accept(wire::decode_submit(data),
+                         [&](const auto& m) { handle_submit(peer, m); });
+        break;
+      case wire::MsgType::kOrdered:
+        handled = accept(wire::decode_ordered(data),
+                         [&](const auto& m) { handle_ordered(m, data); });
+        break;
+      case wire::MsgType::kRetransReq:
+        handled = accept(wire::decode_retrans_req(data),
+                         [&](const auto& m) { handle_retrans_req(peer, m); });
+        break;
+      case wire::MsgType::kPropose:
+        handled = accept(wire::decode_propose(data),
+                         [&](const auto& m) { handle_propose(peer, m); });
+        break;
+      case wire::MsgType::kProposeAck:
+        handled = accept(wire::decode_propose_ack(data),
+                         [&](const auto& m) { handle_propose_ack(peer, m); });
+        break;
+      case wire::MsgType::kFlushTarget:
+        handled = accept(wire::decode_flush_target(data),
+                         [&](const auto& m) { handle_flush_target(peer, m); });
+        break;
+      case wire::MsgType::kFlushDone:
+        handled = accept(wire::decode_flush_done(data),
+                         [&](const auto& m) { handle_flush_done(peer, m); });
+        break;
+      case wire::MsgType::kInstall:
+        handled = accept(wire::decode_install(data),
+                         [&](const auto& m) { handle_install(peer, m); });
+        break;
+    }
+  }
+  if (handled) return;
+  ++stats_.malformed_dropped;
+  // Rejected datagrams alone get a second checksum, to tell damage from a
+  // malformed body. A damaged one carries no trustworthy information at
+  // all, not even its claimed sender, so it must not refresh liveness. An
+  // intact frame with an unknown tag or a decoder-rejected body is a
+  // protocol violation (or a version skew): it proves the peer alive but is
+  // otherwise inert.
   if (!util::frame_open(data)) {
     socket_->note_corrupt_dropped();
-    ++stats_.malformed_dropped;
     return;
   }
-  const net::NodeId peer = from.node;
+  note_alive(peer);
+}
+
+void Daemon::note_alive(net::NodeId peer) {
   last_heard_[peer] = sched_->now();
   suspects_.erase(peer);
-
-  // An intact frame with an unknown tag or a decoder-rejected body is a
-  // protocol violation (or a version skew), counted but otherwise inert.
-  const auto type = wire::peek_type(data);
-  if (!type) {
-    ++stats_.malformed_dropped;
-    return;
-  }
-  bool handled = false;
-  switch (*type) {
-    case wire::MsgType::kHeartbeat:
-      if (auto m = wire::decode_heartbeat(data)) {
-        handle_heartbeat(peer, *m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kSubmit:
-      if (auto m = wire::decode_submit(data)) {
-        handle_submit(peer, *m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kOrdered:
-      if (auto m = wire::decode_ordered(data)) {
-        handle_ordered(*m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kRetransReq:
-      if (auto m = wire::decode_retrans_req(data)) {
-        handle_retrans_req(peer, *m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kPropose:
-      if (auto m = wire::decode_propose(data)) {
-        handle_propose(peer, *m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kProposeAck:
-      if (auto m = wire::decode_propose_ack(data)) {
-        handle_propose_ack(peer, *m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kFlushTarget:
-      if (auto m = wire::decode_flush_target(data)) {
-        handle_flush_target(peer, *m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kFlushDone:
-      if (auto m = wire::decode_flush_done(data)) {
-        handle_flush_done(peer, *m);
-        handled = true;
-      }
-      break;
-    case wire::MsgType::kInstall:
-      if (auto m = wire::decode_install(data)) {
-        handle_install(peer, *m);
-        handled = true;
-      }
-      break;
-  }
-  if (!handled) ++stats_.malformed_dropped;
 }
 
 void Daemon::send_to(net::NodeId node, std::span<const std::byte> bytes) {
@@ -249,12 +252,15 @@ void Daemon::submit(wire::PayloadKind kind, const std::string& group,
                     GcsEndpoint origin, util::Bytes payload) {
   if (halted_) return;
   const std::uint64_t seq = submit_seq_counter_++;
-  wire::Submit m{view_.id, seq, kind, group, origin, payload};
   // Register as pending *before* handing to the coordinator: when this
   // daemon is the coordinator itself, ordering and delivery happen
-  // synchronously, and delivery of an own message erases its pending entry.
-  pending_.emplace(seq, PendingSubmit{seq, kind, group, origin,
-                                      std::move(payload)});
+  // synchronously, and delivery of an own message erases its pending entry
+  // (order_message() reads the entry before it delivers).
+  wire::Submit& m =
+      pending_
+          .emplace(seq, wire::Submit{view_.id, seq, kind, group, origin,
+                                     std::move(payload)})
+          .first->second;
   // Send eagerly when unblocked; the resubmit timer covers losses and
   // coordinator changes (and drains anything queued while paused).
   if (state_ == State::kNormal && !paused_) {
@@ -269,21 +275,25 @@ void Daemon::submit(wire::PayloadKind kind, const std::string& group,
 
 void Daemon::flush_pending_submits() {
   if (halted_ || state_ != State::kNormal || pending_.empty()) return;
-  // Snapshot first: synchronous self-delivery (when we are the coordinator)
-  // erases entries from pending_ while this runs.
-  std::vector<wire::Submit> snapshot;
-  snapshot.reserve(pending_.size());
-  for (const auto& [seq, p] : pending_) {
-    snapshot.push_back(
-        wire::Submit{view_.id, seq, p.kind, p.group, p.origin, p.payload});
-  }
-  for (wire::Submit& m : snapshot) {
-    if (view_.id.coord == self_) {
-      handle_submit(self_, m);
-    } else {
+  if (view_.id.coord != self_) {
+    for (auto& [seq, m] : pending_) {
+      m.view = view_.id;
       wire::encode_into(m, scratch_);
       send_to(view_.id.coord, scratch_.buffer());
     }
+    return;
+  }
+  // As coordinator, ordering delivers synchronously and delivery erases
+  // entries from pending_, so walk a snapshot of the sequence numbers. An
+  // entry gone by its turn was delivered, i.e. would be a duplicate.
+  std::vector<std::uint64_t> seqs;
+  seqs.reserve(pending_.size());
+  for (const auto& [seq, m] : pending_) seqs.push_back(seq);
+  for (const std::uint64_t seq : seqs) {
+    const auto it = pending_.find(seq);
+    if (it == pending_.end()) continue;
+    it->second.view = view_.id;
+    handle_submit(self_, it->second);
   }
 }
 
@@ -296,7 +306,14 @@ void Daemon::handle_submit(net::NodeId from, const wire::Submit& m) {
   auto exp_it = next_submit_expected_.find(from);
   if (exp_it == next_submit_expected_.end()) return;
   if (m.sender_seq < exp_it->second) return;  // duplicate
-  submit_buffer_[from].emplace(m.sender_seq, m);
+  if (m.sender_seq == exp_it->second) {
+    // The next in this sender's FIFO order (the common case): order it
+    // straight from `m` instead of parking a copy in the buffer.
+    exp_it->second = m.sender_seq + 1;
+    order_message(m, from);
+  } else {
+    submit_buffer_[from].emplace(m.sender_seq, m);
+  }
   try_order_buffered(from);
 }
 
@@ -318,15 +335,8 @@ void Daemon::try_order_buffered(net::NodeId sender) {
 }
 
 void Daemon::order_message(const wire::Submit& m, net::NodeId sender) {
-  wire::Ordered o;
-  o.view = view_.id;
-  o.gseq = next_order_gseq_++;
-  o.sender = sender;
-  o.sender_seq = m.sender_seq;
-  o.kind = m.kind;
-  o.group = m.group;
-  o.origin = m.origin;
-  o.payload = m.payload;
+  const wire::Ordered o{view_.id, next_order_gseq_++, sender, m.sender_seq,
+                        m.kind,   m.group,            m.origin, m.payload};
   ++stats_.messages_ordered;
   // Encode once, fan out from the scratch buffer; the network copies the
   // span into its own pooled storage per recipient, so no fresh buffers.
@@ -334,44 +344,52 @@ void Daemon::order_message(const wire::Submit& m, net::NodeId sender) {
   for (net::NodeId member : view_.members) {
     if (member != self_) send_to(member, scratch_.buffer());
   }
-  handle_ordered(o);
+  // `o` views `m`, which self-delivery may erase: handle_ordered() copies
+  // the datagram before it delivers anything.
+  handle_ordered(o, scratch_.buffer());
 }
 
-void Daemon::handle_ordered(const wire::Ordered& m) {
+void Daemon::handle_ordered(const wire::Ordered& m,
+                            std::span<const std::byte> datagram) {
   if (m.view != view_.id) return;
   if (m.gseq < next_deliver_gseq_) return;  // duplicate
-  holdback_.emplace(m.gseq, m);
+  const auto it = std::lower_bound(
+      holdback_.begin(), holdback_.end(), m.gseq,
+      [](const auto& held, std::uint64_t gseq) { return held.first < gseq; });
+  if (it == holdback_.end() || it->first != m.gseq) {
+    holdback_.emplace(it, m.gseq,
+                      util::Bytes(datagram.begin(), datagram.end()));
+  }
   deliver_ready();
 }
 
 void Daemon::deliver_ready() {
   // Application callbacks inside deliver_one() can send messages, which on
   // the coordinator recurses back into handle_ordered()/deliver_ready().
-  // The guard makes the outermost call the only delivering loop; the
-  // erase-then-deliver order keeps the holdback map safe to mutate from
-  // nested arrivals.
+  // The guard makes the outermost call the only delivering loop; moving
+  // the datagram into retention_ before delivering keeps the hold-back
+  // vector safe to mutate from nested arrivals, and nothing a callback can
+  // reach trims retention_, so the view stays valid throughout.
   if (delivering_) return;
   delivering_ = true;
-  while (true) {
-    auto it = holdback_.find(next_deliver_gseq_);
-    if (it == holdback_.end()) break;
-    const wire::Ordered m = std::move(it->second);
-    holdback_.erase(it);
+  while (!holdback_.empty() && holdback_.front().first == next_deliver_gseq_) {
+    retention_.push_back(std::move(holdback_.front().second));
+    holdback_.erase(holdback_.begin());
     ++next_deliver_gseq_;
-    deliver_one(m);
+    deliver_one(wire::ordered_view(retention_.back()));
   }
   delivering_ = false;
   if (state_ == State::kBlocked && my_flush_target_) check_flush_progress();
 }
 
 void Daemon::deliver_one(const wire::Ordered& m) {
-  retention_.emplace(m.gseq, m);
   ++stats_.messages_delivered;
   if (m.sender == self_) pending_.erase(m.sender_seq);
 
   switch (m.kind) {
     case wire::PayloadKind::kJoin: {
-      const bool changed = group_table_[m.group].insert(m.origin).second;
+      const bool changed =
+          entry(group_table_, m.group).insert(m.origin).second;
       if (changed) emit_group_view(m.group);
       break;
     }
@@ -383,36 +401,42 @@ void Daemon::deliver_one(const wire::Ordered& m) {
       if (changed) emit_group_view(m.group);
       break;
     }
-    case wire::PayloadKind::kApp: {
-      auto it = local_members_.find(m.group);
-      if (it == local_members_.end()) break;
-      // Copy: callbacks may join/leave reentrantly.
-      const std::vector<GroupMember*> handles = it->second;
-      for (GroupMember* h : handles) {
+    case wire::PayloadKind::kApp:
+      for_each_local(m.group, [&](GroupMember* h) {
         if (h->callbacks_.on_message) {
           h->callbacks_.on_message(m.origin, m.payload);
         }
-      }
+      });
       break;
-    }
   }
 }
 
-void Daemon::emit_group_view(const std::string& group) {
+void Daemon::emit_group_view(std::string_view group) {
   GroupView gv;
   gv.group = group;
   gv.daemon_view_counter = view_.id.counter;
-  gv.change_seq = ++group_change_seq_[group];
+  gv.change_seq = ++entry(group_change_seq_, group);
   if (auto it = group_table_.find(group); it != group_table_.end()) {
     gv.members.assign(it->second.begin(), it->second.end());
   }
-  auto it = local_members_.find(group);
-  if (it == local_members_.end()) return;
-  const std::vector<GroupMember*> handles = it->second;
-  for (GroupMember* h : handles) {
+  for_each_local(group, [&](GroupMember* h) {
     h->last_view_ = gv;
     if (h->callbacks_.on_view) h->callbacks_.on_view(gv);
+  });
+}
+
+template <typename Fn>
+void Daemon::for_each_local(std::string_view group, Fn fn) {
+  const auto it = local_members_.find(group);
+  if (it == local_members_.end()) return;
+  // A lone handle (the common case) is called directly; several are walked
+  // over a copy, because callbacks may join or leave reentrantly.
+  if (it->second.size() == 1) {
+    fn(it->second.front());
+    return;
   }
+  const std::vector<GroupMember*> handles = it->second;
+  for (GroupMember* h : handles) fn(h);
 }
 
 std::vector<wire::GroupReg> Daemon::local_regs_snapshot() const {
@@ -433,7 +457,7 @@ void Daemon::maybe_nack() {
 
   std::uint64_t want_upto = 0;
   if (!holdback_.empty()) {
-    want_upto = holdback_.rbegin()->first;
+    want_upto = holdback_.back().first;
   }
   if (flushing) {
     for (const auto& e : my_flush_target_->entries) {
@@ -456,19 +480,25 @@ void Daemon::maybe_nack() {
 
 void Daemon::handle_retrans_req(net::NodeId from, const wire::RetransReq& m) {
   if (m.view != view_.id) return;
+  // Re-send the retained datagrams unchanged: they are byte-for-byte the
+  // first transmission, so nothing is re-encoded or re-checksummed.
+  const std::uint64_t first = next_deliver_gseq_ - retention_.size();
   std::size_t sent = 0;
-  for (auto it = retention_.lower_bound(m.from_gseq);
-       it != retention_.end() && it->first <= m.to_gseq &&
-       sent < kMaxRetransBatch;
-       ++it, ++sent) {
-    wire::encode_into(it->second, scratch_);
-    send_to(from, scratch_.buffer());
+  for (std::uint64_t g = std::max(m.from_gseq, first);
+       g < next_deliver_gseq_ && g <= m.to_gseq && sent < kMaxRetransBatch;
+       ++g, ++sent) {
+    send_to(from, retention_[g - first]);
     ++stats_.retransmissions;
   }
 }
 
 void Daemon::trim_retention(std::uint64_t safe) {
-  retention_.erase(retention_.begin(), retention_.upper_bound(safe));
+  const std::uint64_t first = next_deliver_gseq_ - retention_.size();
+  if (safe < first) return;
+  const std::uint64_t stable =
+      std::min<std::uint64_t>(safe - first + 1, retention_.size());
+  retention_.erase(retention_.begin(),
+                   retention_.begin() + static_cast<std::ptrdiff_t>(stable));
 }
 
 std::uint64_t Daemon::first_pending_seq() const {

@@ -15,12 +15,13 @@
 // lowest daemon id across both sides when heartbeats cross again.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gcs/group.hpp"
@@ -67,6 +68,14 @@ class Daemon {
     return socket_->stats();
   }
   [[nodiscard]] bool blocked() const { return state_ == State::kBlocked; }
+  /// Ordering state in the current view: the contiguous gseq delivered so
+  /// far, ordered messages held back behind a gap, and delivered ones
+  /// retained for retransmission until the stability horizon passes them.
+  [[nodiscard]] std::uint64_t delivered_upto() const {
+    return next_deliver_gseq_ - 1;
+  }
+  [[nodiscard]] std::size_t held_back() const { return holdback_.size(); }
+  [[nodiscard]] std::size_t retained() const { return retention_.size(); }
   /// Current membership of a group as known to this daemon.
   [[nodiscard]] std::vector<GcsEndpoint> group_members(
       const std::string& group) const;
@@ -90,14 +99,6 @@ class Daemon {
 
   enum class State { kNormal, kBlocked };
 
-  struct PendingSubmit {
-    std::uint64_t seq;
-    wire::PayloadKind kind;
-    std::string group;
-    GcsEndpoint origin;
-    util::Bytes payload;
-  };
-
   struct Proposal {
     ViewId pv;
     std::vector<net::NodeId> members;        // proposed membership
@@ -110,6 +111,8 @@ class Daemon {
 
   // ---- socket / dispatch ----
   void on_datagram(const net::Endpoint& from, std::span<const std::byte> data);
+  /// Refreshes the failure detector for a peer whose datagram verified.
+  void note_alive(net::NodeId peer);
   void send_to(net::NodeId node, std::span<const std::byte> bytes);
 
   // ---- sending / ordering ----
@@ -119,7 +122,10 @@ class Daemon {
   void handle_submit(net::NodeId from, const wire::Submit& m);
   void try_order_buffered(net::NodeId sender);
   void order_message(const wire::Submit& m, net::NodeId sender);
-  void handle_ordered(const wire::Ordered& m);
+  /// `m` is a view into `datagram`, its exact encoding; the daemon keeps a
+  /// copy of the datagram, never of the struct.
+  void handle_ordered(const wire::Ordered& m,
+                      std::span<const std::byte> datagram);
   void deliver_ready();
   void deliver_one(const wire::Ordered& m);
   void handle_retrans_req(net::NodeId from, const wire::RetransReq& m);
@@ -128,7 +134,10 @@ class Daemon {
   // ---- group plumbing ----
   void member_send(GroupMember& member, util::Bytes payload);
   void member_leave(GroupMember& member);
-  void emit_group_view(const std::string& group);
+  void emit_group_view(std::string_view group);
+  /// Calls fn(GroupMember*) for each local handle registered in `group`.
+  template <typename Fn>
+  void for_each_local(std::string_view group, Fn fn);
   std::vector<wire::GroupReg> local_regs_snapshot() const;
 
   // ---- failure detection / membership ----
@@ -173,11 +182,18 @@ class Daemon {
   DaemonView view_;
   std::uint64_t max_counter_seen_ = 0;
 
-  // Ordering, as a member of view_.
+  // Ordering, as a member of view_. Both structures hold each Ordered as
+  // its datagram (one exact-size copy per message per daemon); delivery and
+  // retransmission read it in place.
   bool delivering_ = false;
   std::uint64_t next_deliver_gseq_ = 1;
-  std::map<std::uint64_t, wire::Ordered> holdback_;
-  std::map<std::uint64_t, wire::Ordered> retention_;
+  /// Arrivals beyond next_deliver_gseq_, sorted by gseq and unique. Bounded
+  /// by what is in flight, so a flat vector beats a tree.
+  std::vector<std::pair<std::uint64_t, util::Bytes>> holdback_;
+  /// Delivered messages not yet known stable: the contiguous gseqs
+  /// [next_deliver_gseq_ - size, next_deliver_gseq_ - 1], oldest first.
+  /// Trimming erases a prefix and keeps the capacity.
+  std::vector<util::Bytes> retention_;
   std::uint64_t safe_upto_ = 0;
 
   // Ordering, as coordinator of view_.
@@ -186,9 +202,10 @@ class Daemon {
   std::map<net::NodeId, std::map<std::uint64_t, wire::Submit>> submit_buffer_;
   std::map<net::NodeId, std::uint64_t> member_delivered_;  // from heartbeats
 
-  // Own submissions awaiting ordering.
+  // Own submissions awaiting ordering, keyed by sender_seq. Each entry's
+  // view is stamped whenever it is (re)sent.
   std::uint64_t submit_seq_counter_ = 1;
-  std::map<std::uint64_t, PendingSubmit> pending_;
+  std::map<std::uint64_t, wire::Submit> pending_;
 
   // Membership protocol.
   std::optional<Proposal> proposal_;
@@ -206,10 +223,12 @@ class Daemon {
   std::set<net::NodeId> suspects_;
   std::map<net::NodeId, wire::Heartbeat> foreign_;  // non-members' heartbeats
 
-  // Lightweight groups.
-  std::map<std::string, std::set<GcsEndpoint>> group_table_;
-  std::map<std::string, std::uint32_t> group_change_seq_;
-  std::map<std::string, std::vector<GroupMember*>> local_members_;
+  // Lightweight groups. Transparent comparators let a delivered message's
+  // string_view group name look them up without building a string.
+  std::map<std::string, std::set<GcsEndpoint>, std::less<>> group_table_;
+  std::map<std::string, std::uint32_t, std::less<>> group_change_seq_;
+  std::map<std::string, std::vector<GroupMember*>, std::less<>>
+      local_members_;
   std::uint32_t next_local_id_ = 1;
 
   // Timers.

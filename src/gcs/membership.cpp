@@ -402,7 +402,6 @@ void Daemon::handle_install(net::NodeId from, const wire::Install& m) {
 
 void Daemon::apply_install(const wire::Install& m) {
   ++stats_.view_changes;
-  const std::map<std::string, std::set<GcsEndpoint>> old_table = group_table_;
 
   view_.id = m.pv;
   view_.members = m.members;

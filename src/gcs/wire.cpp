@@ -95,7 +95,7 @@ std::optional<util::Reader> body(std::span<const std::byte> data, MsgType t) {
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data) {
   // Structural frame check only (no CRC): demux is on the hot path, and the
-  // per-type decoder re-verifies the full checksum via body().
+  // per-type decoder verifies the full checksum via body().
   const auto opened = util::frame_peek(data);
   if (!opened || opened->empty()) return std::nullopt;
   const auto t = std::to_integer<std::uint8_t>((*opened)[0]);
@@ -165,20 +165,35 @@ void encode_into(const Ordered& m, util::Writer& w) {
   util::frame_seal(w);
 }
 
+namespace {
+
+Ordered get_ordered(util::Reader& r) {
+  Ordered m;
+  m.view = get_view_id(r);
+  m.gseq = r.u64();
+  m.sender = r.u32();
+  m.sender_seq = r.u64();
+  m.kind = static_cast<PayloadKind>(r.u8());
+  m.group = r.str_view();
+  m.origin = get_endpoint(r);
+  m.payload = r.blob_view();
+  return m;
+}
+
+}  // namespace
+
 std::optional<Ordered> decode_ordered(std::span<const std::byte> data) {
   auto r = body(data, MsgType::kOrdered);
   if (!r) return std::nullopt;
-  Ordered m;
-  m.view = get_view_id(*r);
-  m.gseq = r->u64();
-  m.sender = r->u32();
-  m.sender_seq = r->u64();
-  m.kind = static_cast<PayloadKind>(r->u8());
-  m.group = r->str();
-  m.origin = get_endpoint(*r);
-  m.payload = r->blob();
+  Ordered m = get_ordered(*r);
   if (!r->done()) return std::nullopt;
   return m;
+}
+
+Ordered ordered_view(std::span<const std::byte> accepted) {
+  // Past the integrity header and the one-byte type tag.
+  util::Reader r(accepted.subspan(util::kIntegrityHeaderBytes + 1));
+  return get_ordered(r);
 }
 
 void encode_into(const RetransReq& m, util::Writer& w) {

@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,15 +51,18 @@ struct Submit {
 };
 
 /// Coordinator -> all view members: message with a global sequence number.
+/// Non-owning: `group` and `payload` view the bytes it was decoded from (or
+/// the Submit it is ordered from), which must outlive it. Daemons keep the
+/// encoded datagram and re-parse this view from it when needed.
 struct Ordered {
   ViewId view;
   std::uint64_t gseq = 0;
   net::NodeId sender = net::kInvalidNode;
   std::uint64_t sender_seq = 0;
   PayloadKind kind = PayloadKind::kApp;
-  std::string group;
+  std::string_view group;
   GcsEndpoint origin;
-  util::Bytes payload;
+  std::span<const std::byte> payload;
 };
 
 /// Ask `to` to re-send ordered messages [from_gseq, to_gseq] of `view`.
@@ -138,13 +142,19 @@ util::Bytes encode(const M& m) {
   return w.take();
 }
 
-/// Peeks the type tag; nullopt for an empty/garbage datagram.
+/// Peeks the type tag after a structural frame check (no checksum);
+/// nullopt for an empty/garbage datagram. Receivers demux with it and let
+/// the decoder verify the checksum, so each datagram is checked once.
 std::optional<MsgType> peek_type(std::span<const std::byte> data);
 
-// Decoders return nullopt on any malformed input.
+// Decoders verify the integrity frame (length + CRC32C) and return nullopt
+// on any damaged or malformed input.
 std::optional<Heartbeat> decode_heartbeat(std::span<const std::byte> data);
 std::optional<Submit> decode_submit(std::span<const std::byte> data);
 std::optional<Ordered> decode_ordered(std::span<const std::byte> data);
+/// Re-reads the view of a datagram decode_ordered() has already accepted
+/// (or encode_into() produced), skipping the checks that passed then.
+Ordered ordered_view(std::span<const std::byte> accepted);
 std::optional<RetransReq> decode_retrans_req(std::span<const std::byte> data);
 std::optional<Propose> decode_propose(std::span<const std::byte> data);
 std::optional<ProposeAck> decode_propose_ack(std::span<const std::byte> data);

@@ -92,18 +92,23 @@ std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
 double Reader::f64() { return std::bit_cast<double>(u64()); }
 bool Reader::boolean() { return u8() != 0; }
 
-std::string Reader::str() {
-  const std::uint32_t n = u32();
-  const auto* p = need(n);
-  if (p == nullptr) return {};
-  return std::string(reinterpret_cast<const char*>(p), n);
-}
+std::string Reader::str() { return std::string(str_view()); }
 
 Bytes Reader::blob() {
+  const auto v = blob_view();
+  return Bytes(v.begin(), v.end());
+}
+
+std::string_view Reader::str_view() {
+  const auto v = blob_view();
+  return {reinterpret_cast<const char*>(v.data()), v.size()};
+}
+
+std::span<const std::byte> Reader::blob_view() {
   const std::uint32_t n = u32();
   const auto* p = need(n);
   if (p == nullptr) return {};
-  return Bytes(p, p + n);
+  return {p, n};
 }
 
 }  // namespace ftvod::util

@@ -71,6 +71,10 @@ class Reader {
   bool boolean();
   std::string str();
   Bytes blob();
+  /// Non-owning reads of a length-prefixed string or blob: views into the
+  /// reader's buffer, valid for as long as that buffer is. Empty on error.
+  std::string_view str_view();
+  std::span<const std::byte> blob_view();
 
   /// True while no read has overrun the buffer.
   [[nodiscard]] bool ok() const { return ok_; }

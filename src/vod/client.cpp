@@ -163,21 +163,17 @@ void VodClient::on_datagram(const net::Endpoint& from,
   (void)from;  // deliberately ignored: the client must not track servers
   if (halted_ || !buffers_) return;
   // Integrity gate: the data socket is the one channel exposed to raw wire
-  // damage (frames bypass GCS), so verify before any decoding.
-  if (!util::frame_open(d)) {
-    data_socket_->note_corrupt_dropped();
-    ++control_stats_.malformed_dropped;
-    return;
+  // damage (frames bypass GCS). decode_frame() verifies length + CRC32C
+  // before reading a field, so an accepted frame is checksummed once.
+  if (wire::peek_type(d) == wire::MsgType::kFrame) {
+    if (const auto f = wire::decode_frame(d)) {
+      if (f->client_id == client_id_) on_frame(*f);
+      return;
+    }
   }
-  if (wire::peek_type(d) != wire::MsgType::kFrame) {
-    ++control_stats_.malformed_dropped;
-    return;
-  }
-  if (const auto f = wire::decode_frame(d)) {
-    if (f->client_id == client_id_) on_frame(*f);
-  } else {
-    ++control_stats_.malformed_dropped;
-  }
+  ++control_stats_.malformed_dropped;
+  // Only a rejected datagram is checked again, to count damage apart.
+  if (!util::frame_open(d)) data_socket_->note_corrupt_dropped();
 }
 
 void VodClient::on_frame(const wire::Frame& f) {

@@ -43,7 +43,7 @@ net::Endpoint get_endpoint(util::Reader& r) {
 
 std::optional<MsgType> peek_type(std::span<const std::byte> data) {
   // Structural frame check only (no CRC): demux is on the hot path, and the
-  // per-type decoder re-verifies the full checksum via body().
+  // per-type decoder verifies the full checksum via body().
   const auto opened = util::frame_peek(data);
   if (!opened || opened->empty()) return std::nullopt;
   const auto t = std::to_integer<std::uint8_t>((*opened)[0]);

@@ -132,15 +132,18 @@ std::vector<FuzzTarget> gcs_targets() {
                        [](const Submit& m) { return encode(m); })});
   t.push_back({"gcs.ordered",
                [](util::Rng& rng) {
+                 // Ordered views its group and payload; keep them alive.
                  Ordered m;
                  m.view = rand_view(rng);
                  m.gseq = rand_u64(rng);
                  m.sender = rand_node(rng);
                  m.sender_seq = rand_u64(rng);
                  m.kind = static_cast<PayloadKind>(rng.uniform_int(0, 2));
-                 m.group = rand_str(rng, 24);
+                 const std::string group = rand_str(rng, 24);
+                 m.group = group;
                  m.origin = rand_gep(rng);
-                 m.payload = rand_payload(rng, 64);
+                 const util::Bytes payload = rand_payload(rng, 64);
+                 m.payload = payload;
                  return encode(m);
                },
                checker(decode_ordered,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace ftvod::gcs::wire {
 namespace {
 
@@ -39,6 +41,7 @@ TEST(GcsWire, SubmitRoundTrip) {
 }
 
 TEST(GcsWire, OrderedRoundTrip) {
+  const util::Bytes payload{std::byte{0xFF}};
   Ordered m;
   m.view = {9, 0};
   m.gseq = 1234;
@@ -47,12 +50,38 @@ TEST(GcsWire, OrderedRoundTrip) {
   m.kind = PayloadKind::kApp;
   m.group = "g";
   m.origin = {6, 1};
-  m.payload = {std::byte{0xFF}};
-  auto d = decode_ordered(encode(m));
+  m.payload = payload;
+  const util::Bytes bytes = encode(m);
+  auto d = decode_ordered(bytes);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->gseq, 1234u);
   EXPECT_EQ(d->sender, 6u);
-  EXPECT_EQ(d->payload, m.payload);
+  EXPECT_EQ(d->group, "g");
+  EXPECT_TRUE(std::ranges::equal(d->payload, payload));
+}
+
+TEST(GcsWire, OrderedViewsPointIntoTheDatagram) {
+  const util::Bytes payload(40, std::byte{3});
+  Ordered m;
+  m.view = {2, 1};
+  m.gseq = 7;
+  m.group = "movie.group";
+  m.payload = payload;
+  const util::Bytes bytes = encode(m);
+  const auto d = decode_ordered(bytes);
+  ASSERT_TRUE(d.has_value());
+  const auto* lo = reinterpret_cast<const char*>(bytes.data());
+  const auto* hi = lo + bytes.size();
+  EXPECT_TRUE(d->group.data() >= lo && d->group.data() < hi);
+  EXPECT_TRUE(reinterpret_cast<const char*>(d->payload.data()) >= lo &&
+              reinterpret_cast<const char*>(d->payload.data()) < hi);
+  // ordered_view() re-reads an accepted datagram to the same fields.
+  const Ordered v = ordered_view(bytes);
+  EXPECT_EQ(v.view, d->view);
+  EXPECT_EQ(v.gseq, 7u);
+  EXPECT_EQ(v.group, d->group);
+  EXPECT_EQ(v.payload.data(), d->payload.data());
+  EXPECT_EQ(v.payload.size(), payload.size());
 }
 
 TEST(GcsWire, ProposeAndAckRoundTrip) {
@@ -117,9 +146,10 @@ TEST(GcsWire, WrongTypeRejected) {
 }
 
 TEST(GcsWire, TruncatedRejected) {
+  const util::Bytes payload(100, std::byte{7});
   Ordered m;
   m.group = "group";
-  m.payload = util::Bytes(100, std::byte{7});
+  m.payload = payload;
   auto bytes = encode(m);
   for (std::size_t cut : {1ul, 5ul, bytes.size() / 2, bytes.size() - 1}) {
     auto truncated =

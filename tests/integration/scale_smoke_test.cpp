@@ -75,7 +75,7 @@ namespace ftvod::vod {
 namespace {
 
 // Committed regression thresholds. Measured steady state (RelWithDebInfo, 500
-// clients, ~430 watching): 9.0 allocs/frame and 158.5 events/(client*sim-s).
+// clients, ~430 watching): 4.0 allocs/frame and 158.5 events/(client*sim-s).
 // The frame path itself — send timer, encode, network hand-off and the client's
 // buffer insert/display — is proven allocation-free by scheduler_slab_test, so
 // the allocations counted here are session churn and control-plane bookkeeping.
@@ -83,7 +83,7 @@ namespace {
 // headroom is pure regression budget; the allocation headroom additionally
 // absorbs stdlib drift. An O(clients) periodic scan or a per-event allocation
 // blows past either bound immediately.
-constexpr double kMaxAllocsPerFrame = 12.0;
+constexpr double kMaxAllocsPerFrame = 6.0;
 constexpr double kMaxEventsPerClientSimSecond = 200.0;
 
 TEST(ScaleSmoke, FiveHundredClientsStayWithinPerFrameBudgets) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "../integration/vod_testbed.hpp"
+#include "util/frame.hpp"
+#include "vod/wire.hpp"
 
 namespace ftvod::vod {
 namespace {
@@ -122,6 +124,42 @@ TEST(Client, GarbageDatagramsIgnored) {
   bed.run_for(2.0);
   EXPECT_TRUE(bed.client().connected());
   EXPECT_TRUE(bed.client().playing());
+}
+
+TEST(Client, DataGateCountsDamageApartFromMalformedBodies) {
+  VodTestBed bed(1, 1);
+  bed.watch_all();
+  bed.run_for(5.0);
+  ASSERT_TRUE(bed.client().connected());
+  auto& dep = bed.deployment();
+  auto probe = dep.network().bind(dep.servers()[0]->node, 4444, nullptr);
+  const net::Endpoint client_data{dep.clients()[0]->node, 9100};
+  const VodClient& c = bed.client();
+  const auto corrupt0 = c.data_socket_stats().corrupt_dropped;
+  const auto malformed0 = c.control_stats().malformed_dropped;
+
+  // A frame for this client with one bit flipped: damage.
+  util::Bytes damaged =
+      wire::encode(wire::Frame{c.client_id(), 1, mpeg::FrameType::kI, 100});
+  damaged.back() ^= std::byte{0x10};
+  probe->send(client_data, damaged);
+  bed.run_for(0.1);
+  EXPECT_EQ(c.data_socket_stats().corrupt_dropped - corrupt0, 1u);
+  EXPECT_EQ(c.control_stats().malformed_dropped - malformed0, 1u);
+
+  // Intact frames the client cannot use: a non-frame message on the data
+  // socket, and a sealed frame tag with a truncated body. Malformed only.
+  probe->send(client_data, wire::encode(wire::Flow{c.client_id(), 1}));
+  util::Writer w;
+  util::frame_begin(w);
+  w.u8(static_cast<std::uint8_t>(wire::MsgType::kFrame));
+  w.u64(c.client_id());
+  util::frame_seal(w);
+  probe->send(client_data, w.buffer());
+  bed.run_for(0.1);
+  EXPECT_EQ(c.data_socket_stats().corrupt_dropped - corrupt0, 1u);
+  EXPECT_EQ(c.control_stats().malformed_dropped - malformed0, 3u);
+  EXPECT_TRUE(c.playing());
 }
 
 TEST(Client, DisplayedIndicesMonotone) {

@@ -6,12 +6,8 @@
 // floor) running for the whole measurement, so the numbers in the record
 // are from a run that was *correct*, not merely fast.
 //
-// Two outputs, both in BENCH_city.json:
-//   * scaling — clients vs events/s, frames/s and allocs/frame at 1k..10k
-//     concurrent clients (timer wheel on, the shipping configuration).
-//   * wheel_comparison — the flagship 10k-client run twice: timer wheel
-//     disabled (the pre-optimization binary-heap scheduler, "before") and
-//     enabled ("after"), with the speedup.
+// Output, in BENCH_city.json: scaling — clients vs events/s, frames/s and
+// allocs/frame at 1k..10k concurrent clients.
 //
 // Usage: city_scale [output.json]
 //   FTVOD_BENCH_SMOKE=1 shrinks everything to a seconds-long sanity run
@@ -107,12 +103,10 @@ struct CityConfig {
   double stagger_s = 4.0;   // watch ramp
   double settle_s = 6.0;    // after the ramp, before measuring
   double measure_s = 4.0;   // measurement window
-  bool wheel = true;
 };
 
 struct CityResult {
   int clients = 0;
-  bool wheel = true;
   std::size_t watching = 0;
   std::uint64_t events = 0;
   std::uint64_t frames = 0;
@@ -133,7 +127,6 @@ CityResult run_city(const CityConfig& cfg) {
   using namespace ftvod::vod;
 
   Deployment dep(20260808);
-  dep.scheduler().set_wheel_enabled(cfg.wheel);
 
   // Core hosts get datacenter provisioning: a server streaming to ~1250
   // clients at 1.4 Mbps needs ~1.8 Gbps of uplink, and the default
@@ -215,7 +208,6 @@ CityResult run_city(const CityConfig& cfg) {
 
   CityResult r;
   r.clients = cfg.clients;
-  r.wheel = cfg.wheel;
   r.sim_s = cfg.measure_s;
   for (auto& cn : dep.clients()) {
     if (cn->client->watching()) ++r.watching;
@@ -273,7 +265,6 @@ void json_result(std::ostringstream& os, const CityResult& r,
                  const char* indent) {
   os << indent << "{\n";
   os << indent << "  \"clients\": " << r.clients << ",\n";
-  os << indent << "  \"wheel\": " << (r.wheel ? "true" : "false") << ",\n";
   os << indent << "  \"watching\": " << r.watching << ",\n";
   os << indent << "  \"sim_s\": " << r.sim_s << ",\n";
   os << indent << "  \"events\": " << r.events << ",\n";
@@ -304,7 +295,7 @@ int main(int argc, char** argv) {
     ftvod::util::Log::set_level(ftvod::util::LogLevel::kInfo);
   }
   if (const char* only = std::getenv("FTVOD_CITY_ONLY"); only && *only) {
-    // Debug: one run at the given client count, wheel on, then exit.
+    // Debug: one run at the given client count, then exit.
     CityConfig cfg;
     cfg.clients = std::atoi(only);
     cfg.churn_pool = cfg.clients / 10;
@@ -315,14 +306,14 @@ int main(int argc, char** argv) {
   }
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_city.json";
 
-  // Scaling sweep (wheel on), then the flagship size twice for the
-  // before/after wheel comparison. Smoke keeps the same structure at toy
-  // scale so the whole harness stays exercised.
-  std::vector<int> sweep =
-      smoke ? std::vector<int>{40} : std::vector<int>{1000, 2500, 5000};
-  const int flagship = smoke ? 80 : 10'000;
+  // Scaling sweep up to the flagship size. Smoke keeps the same structure
+  // at toy scale so the whole harness stays exercised.
+  const std::vector<int> sweep = smoke
+                                     ? std::vector<int>{40, 80}
+                                     : std::vector<int>{1000, 2500, 5000,
+                                                        10'000};
 
-  auto config_for = [&](int clients, bool wheel) {
+  auto config_for = [&](int clients) {
     CityConfig cfg;
     cfg.clients = clients;
     cfg.churn_pool = clients / 10;
@@ -332,7 +323,6 @@ int main(int argc, char** argv) {
     cfg.stagger_s = smoke ? 1.0 : 4.0;
     cfg.settle_s = smoke ? 2.0 : 6.0;
     cfg.measure_s = smoke ? 1.0 : 4.0;
-    cfg.wheel = wheel;
     return cfg;
   };
 
@@ -340,23 +330,12 @@ int main(int argc, char** argv) {
             << (smoke ? "(smoke scale; numbers not meaningful)\n" : "");
 
   std::vector<CityResult> scaling;
+  std::size_t violations = 0;
   for (int clients : sweep) {
-    scaling.push_back(run_city(config_for(clients, /*wheel=*/true)));
+    scaling.push_back(run_city(config_for(clients)));
     print_result("scaling", scaling.back());
+    violations += scaling.back().invariant_violations;
   }
-  const CityResult before = run_city(config_for(flagship, /*wheel=*/false));
-  print_result("flagship (wheel off)", before);
-  const CityResult after = run_city(config_for(flagship, /*wheel=*/true));
-  print_result("flagship (wheel on)", after);
-  scaling.push_back(after);
-
-  const double speedup =
-      before.wall_s > 0.0 && after.wall_s > 0.0 ? before.wall_s / after.wall_s
-                                                : 0.0;
-  std::printf("timer wheel speedup at %d clients: %.2fx\n", flagship, speedup);
-
-  std::size_t violations = before.invariant_violations;
-  for (const CityResult& r : scaling) violations += r.invariant_violations;
 
   std::ostringstream os;
   os.precision(6);
@@ -369,17 +348,7 @@ int main(int argc, char** argv) {
     json_result(os, scaling[i], "    ");
     os << (i + 1 < scaling.size() ? ",\n" : "\n");
   }
-  os << "  ],\n";
-  os << "  \"wheel_comparison\": {\n";
-  os << "    \"clients\": " << flagship << ",\n";
-  os << "    \"before_wheel_off\":\n";
-  json_result(os, before, "      ");
-  os << ",\n";
-  os << "    \"after_wheel_on\":\n";
-  json_result(os, after, "      ");
-  os << ",\n";
-  os << "    \"wall_speedup\": " << speedup << "\n";
-  os << "  }\n";
+  os << "  ]\n";
   os << "}\n";
 
   std::ofstream f(out_path, std::ios::trunc);

@@ -58,7 +58,8 @@ Daemon::Daemon(sim::Scheduler& sched, net::Network& net, net::NodeId self,
                       [this] { flush_pending_submits(); }),
       nack_timer_(sched, cfg_.nack_delay, [this] { maybe_nack(); }),
       propose_retry_timer_(sched),
-      rescue_timer_(sched) {
+      rescue_timer_(sched),
+      order_step_(sched) {
   socket_ = net_->bind(self_, cfg_.port,
                        [this](const net::Endpoint& from,
                               std::span<const std::byte> data) {
@@ -252,48 +253,39 @@ void Daemon::submit(wire::PayloadKind kind, const std::string& group,
                     GcsEndpoint origin, util::Bytes payload) {
   if (halted_) return;
   const std::uint64_t seq = submit_seq_counter_++;
-  // Register as pending *before* handing to the coordinator: when this
-  // daemon is the coordinator itself, ordering and delivery happen
-  // synchronously, and delivery of an own message erases its pending entry
-  // (order_message() reads the entry before it delivers).
   wire::Submit& m =
       pending_
           .emplace(seq, wire::Submit{view_.id, seq, kind, group, origin,
                                      std::move(payload)})
           .first->second;
   // Send eagerly when unblocked; the resubmit timer covers losses and
-  // coordinator changes (and drains anything queued while paused).
-  if (state_ == State::kNormal && !paused_) {
+  // coordinator changes (and drains anything queued while paused). The
+  // coordinator orders its own submissions from a zero-delay step, one per
+  // burst, so no callback runs inside the caller's join(), send() or leave().
+  if (state_ != State::kNormal || paused_) return;
+  if (view_.id.coord != self_) {
+    wire::encode_into(m, scratch_);
+    send_to(view_.id.coord, scratch_.buffer());
+  } else if (!order_step_.pending()) {
+    order_step_.arm(0, [this] { flush_pending_submits(); });
+  }
+}
+
+void Daemon::flush_pending_submits() {
+  if (halted_ || paused_ || state_ != State::kNormal) return;
+  // The coordinator hands each entry to handle_submit() like a remote
+  // sender's; ordering delivers it at once and delivery erases it, so step
+  // past an entry before handling it. Entries that callbacks submit meanwhile
+  // sort after it and are ordered by this same walk.
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    wire::Submit& m = (it++)->second;
+    m.view = view_.id;
     if (view_.id.coord == self_) {
       handle_submit(self_, m);
     } else {
       wire::encode_into(m, scratch_);
       send_to(view_.id.coord, scratch_.buffer());
     }
-  }
-}
-
-void Daemon::flush_pending_submits() {
-  if (halted_ || state_ != State::kNormal || pending_.empty()) return;
-  if (view_.id.coord != self_) {
-    for (auto& [seq, m] : pending_) {
-      m.view = view_.id;
-      wire::encode_into(m, scratch_);
-      send_to(view_.id.coord, scratch_.buffer());
-    }
-    return;
-  }
-  // As coordinator, ordering delivers synchronously and delivery erases
-  // entries from pending_, so walk a snapshot of the sequence numbers. An
-  // entry gone by its turn was delivered, i.e. would be a duplicate.
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(pending_.size());
-  for (const auto& [seq, m] : pending_) seqs.push_back(seq);
-  for (const std::uint64_t seq : seqs) {
-    const auto it = pending_.find(seq);
-    if (it == pending_.end()) continue;
-    it->second.view = view_.id;
-    handle_submit(self_, it->second);
   }
 }
 
@@ -305,32 +297,21 @@ void Daemon::handle_submit(net::NodeId from, const wire::Submit& m) {
   if (!view_.contains(from)) return;
   auto exp_it = next_submit_expected_.find(from);
   if (exp_it == next_submit_expected_.end()) return;
-  if (m.sender_seq < exp_it->second) return;  // duplicate
-  if (m.sender_seq == exp_it->second) {
-    // The next in this sender's FIFO order (the common case): order it
-    // straight from `m` instead of parking a copy in the buffer.
-    exp_it->second = m.sender_seq + 1;
-    order_message(m, from);
-  } else {
-    submit_buffer_[from].emplace(m.sender_seq, m);
+  std::uint64_t& exp = exp_it->second;
+  if (m.sender_seq < exp) return;  // duplicate
+  if (m.sender_seq > exp) {
+    submit_buffer_[from].emplace(m.sender_seq, m);  // behind a gap
+    return;
   }
-  try_order_buffered(from);
-}
-
-void Daemon::try_order_buffered(net::NodeId sender) {
-  // order_message() can re-enter this function via application callbacks
-  // (deliver -> on_message -> send -> submit). Remove each entry and advance
-  // the cursor *before* ordering, and re-find on every iteration, so nested
-  // calls and this loop never touch a stale iterator.
-  while (true) {
-    auto& buf = submit_buffer_[sender];
-    const std::uint64_t exp = next_submit_expected_[sender];
-    auto it = buf.find(exp);
-    if (it == buf.end()) break;
-    const wire::Submit m = std::move(it->second);
+  // The next in this sender's FIFO order (the common case): order it
+  // straight from `m`, then whatever it releases from the buffer.
+  ++exp;
+  order_message(m, from);
+  auto& buf = submit_buffer_[from];
+  for (auto it = buf.find(exp); it != buf.end(); it = buf.find(exp)) {
+    ++exp;
+    order_message(it->second, from);
     buf.erase(it);
-    next_submit_expected_[sender] = exp + 1;
-    order_message(m, sender);
   }
 }
 
@@ -364,21 +345,12 @@ void Daemon::handle_ordered(const wire::Ordered& m,
 }
 
 void Daemon::deliver_ready() {
-  // Application callbacks inside deliver_one() can send messages, which on
-  // the coordinator recurses back into handle_ordered()/deliver_ready().
-  // The guard makes the outermost call the only delivering loop; moving
-  // the datagram into retention_ before delivering keeps the hold-back
-  // vector safe to mutate from nested arrivals, and nothing a callback can
-  // reach trims retention_, so the view stays valid throughout.
-  if (delivering_) return;
-  delivering_ = true;
   while (!holdback_.empty() && holdback_.front().first == next_deliver_gseq_) {
     retention_.push_back(std::move(holdback_.front().second));
     holdback_.erase(holdback_.begin());
     ++next_deliver_gseq_;
     deliver_one(wire::ordered_view(retention_.back()));
   }
-  delivering_ = false;
   if (state_ == State::kBlocked && my_flush_target_) check_flush_progress();
 }
 

@@ -8,6 +8,11 @@
 //    with regular messages, so every member sees the same message/view
 //    sequence per group.
 //
+// No callback runs inside the caller's stack: join(), send_to_group(),
+// GroupMember::send() and leave() only queue a submission, and deliveries
+// follow in submission order, from the network or (on the coordinator) from
+// a zero-delay scheduler step.
+//
 // The protocol is coordinator-based (the proposer of the current view orders
 // all messages). Coordinator failure is handled by the next surviving member
 // proposing a new view after a flush round that equalizes delivery among
@@ -53,11 +58,13 @@ class Daemon {
 
   /// Joins a lightweight group. The returned handle must not outlive the
   /// daemon. Membership becomes visible when the join is ordered; the first
-  /// on_view delivered to the handle includes the caller.
+  /// on_view delivered to the handle includes the caller. Returns before any
+  /// callback runs, so the caller may register the handle first.
   [[nodiscard]] std::unique_ptr<GroupMember> join(std::string group,
                                                   GroupCallbacks callbacks);
 
   /// Multicasts into a group without being a member (no self-delivery).
+  /// Returns before any callback runs.
   void send_to_group(const std::string& group, util::Bytes payload);
 
   [[nodiscard]] net::NodeId self() const { return self_; }
@@ -120,7 +127,6 @@ class Daemon {
               GcsEndpoint origin, util::Bytes payload);
   void flush_pending_submits();
   void handle_submit(net::NodeId from, const wire::Submit& m);
-  void try_order_buffered(net::NodeId sender);
   void order_message(const wire::Submit& m, net::NodeId sender);
   /// `m` is a view into `datagram`, its exact encoding; the daemon keeps a
   /// copy of the datagram, never of the struct.
@@ -185,7 +191,6 @@ class Daemon {
   // Ordering, as a member of view_. Both structures hold each Ordered as
   // its datagram (one exact-size copy per message per daemon); delivery and
   // retransmission read it in place.
-  bool delivering_ = false;
   std::uint64_t next_deliver_gseq_ = 1;
   /// Arrivals beyond next_deliver_gseq_, sorted by gseq and unique. Bounded
   /// by what is in flight, so a flat vector beats a tree.
@@ -238,6 +243,8 @@ class Daemon {
   sim::PeriodicTimer nack_timer_;
   sim::OneShotTimer propose_retry_timer_;
   sim::OneShotTimer rescue_timer_;
+  /// The coordinator's zero-delay step that orders its own submissions.
+  sim::OneShotTimer order_step_;
 };
 
 }  // namespace ftvod::gcs

@@ -31,8 +31,10 @@ class GroupMember {
   GroupMember& operator=(const GroupMember&) = delete;
 
   /// Multicasts to the group in agreed (total) order, self-delivery included.
+  /// Returns before any callback runs; the self-delivery comes later.
   void send(util::Bytes payload);
-  /// Leaves the group; the handle becomes inert.
+  /// Leaves the group; the handle becomes inert at once and sees no view of
+  /// its own departure. Returns before any callback runs.
   void leave();
 
   [[nodiscard]] GcsEndpoint endpoint() const { return endpoint_; }

@@ -424,6 +424,22 @@ void Daemon::apply_install(const wire::Install& m) {
   for (const auto& [node, seq] : m.submit_seqs) {
     next_submit_expected_[node] = seq;
   }
+  // The coordinator expects this daemon's submissions from the sequence
+  // number it acked, but the flush may since have delivered (and erased)
+  // the oldest pending ones. Renumber what is still pending to start there,
+  // or the coordinator would wait forever for a number already consumed.
+  if (const auto own = next_submit_expected_.find(self_);
+      own != next_submit_expected_.end()) {
+    std::map<std::uint64_t, wire::Submit> renumbered;
+    std::uint64_t seq = own->second;
+    while (!pending_.empty()) {
+      auto entry = pending_.extract(pending_.begin());
+      entry.key() = entry.mapped().sender_seq = seq++;
+      renumbered.insert(renumbered.end(), std::move(entry));
+    }
+    pending_.swap(renumbered);
+    submit_seq_counter_ = seq;
+  }
 
   const sim::Time now = sched_->now();
   for (net::NodeId member : view_.members) {

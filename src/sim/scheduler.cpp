@@ -95,19 +95,17 @@ void Scheduler::cancel_slot(std::uint32_t index, std::uint32_t gen) {
 
 void Scheduler::stage(std::uint32_t index) {
   const Slot& s = slots_[index];
-  if (wheel_enabled_) {
-    if (wheel_total_ == 0) {
-      // Empty wheel: snap the cursor forward so the span starts at "now"
-      // instead of wherever the last drain left it.
-      const std::uint64_t here = static_cast<std::uint64_t>(now_) >> kWheelShift;
-      if (here > wheel_cursor_) wheel_cursor_ = here;
-    }
-    const std::uint64_t b = static_cast<std::uint64_t>(s.t) >> kWheelShift;
-    if (b >= wheel_cursor_ && b < wheel_cursor_ + kWheelBuckets) {
-      wheel_[b & (kWheelBuckets - 1)].push_back(index);
-      ++wheel_total_;
-      return;
-    }
+  if (wheel_total_ == 0) {
+    // Empty wheel: snap the cursor forward so the span starts at "now"
+    // instead of wherever the last drain left it.
+    const std::uint64_t here = static_cast<std::uint64_t>(now_) >> kWheelShift;
+    if (here > wheel_cursor_) wheel_cursor_ = here;
+  }
+  const std::uint64_t b = static_cast<std::uint64_t>(s.t) >> kWheelShift;
+  if (b >= wheel_cursor_ && b < wheel_cursor_ + kWheelBuckets) {
+    wheel_[b & (kWheelBuckets - 1)].push_back(index);
+    ++wheel_total_;
+    return;
   }
   // Past the cursor (fires this bucket) or beyond the span: straight to
   // the heap. Far-future events never cascade — one move, ever.
@@ -137,23 +135,6 @@ void Scheduler::prepare_next() {
     bucket.clear();  // keeps capacity: steady state stays allocation-free
     drop_cancelled();
   }
-}
-
-void Scheduler::set_wheel_enabled(bool on) {
-  if (on == wheel_enabled_) return;
-  wheel_enabled_ = on;
-  if (on) return;
-  for (std::vector<std::uint32_t>& bucket : wheel_) {
-    for (const std::uint32_t idx : bucket) {
-      if (slots_[idx].cancelled) {
-        release_slot(idx);
-      } else {
-        heap_push(HeapEntry{slots_[idx].t, slots_[idx].seq, idx});
-      }
-    }
-    bucket.clear();
-  }
-  wheel_total_ = 0;
 }
 
 Scheduler::EventHandle Scheduler::at(Time t, Callback cb) {

@@ -15,7 +15,7 @@
 // the drain cursor reaches their bucket — which happens before any event at
 // or past that bucket's start time executes. Every slot stores its exact
 // (t, seq), so promotion re-establishes the precise global order and the
-// observable execution sequence is bit-identical with the wheel on or off.
+// observable execution sequence is bit-identical to a heap-only scheduler.
 // The win is O(1) staging for the short-horizon timers that dominate a
 // simulation tick (frame sends, watchdogs, sync ticks) instead of O(log n)
 // heap traffic, with the heap holding only far-future and drained-due
@@ -80,16 +80,6 @@ class Scheduler {
   [[nodiscard]] std::size_t pending_events() const { return live_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
-  /// Toggles the timer-wheel front end. Execution order is identical either
-  /// way; the wheel only changes the cost profile. Disabling flushes every
-  /// staged entry into the heap. Intended for before/after benchmarking.
-  void set_wheel_enabled(bool on);
-  [[nodiscard]] bool wheel_enabled() const { return wheel_enabled_; }
-  /// Entries currently staged in wheel buckets (including tombstones);
-  /// exposed for tests and benchmarks.
-  [[nodiscard]] std::size_t wheel_staged() const { return wheel_total_; }
-  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
-
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   /// Heap fan-out; see the note above heap_push() in scheduler.cpp.
@@ -152,7 +142,6 @@ class Scheduler {
   std::uint32_t free_head_ = kNil;
   std::vector<HeapEntry> heap_;
 
-  bool wheel_enabled_ = true;
   /// Absolute bucket index of the next undrained bucket. Every staged entry
   /// lives at an absolute bucket >= cursor (earlier buckets were drained)
   /// and < cursor-at-insert + kWheelBuckets, so residues are unique.

@@ -356,6 +356,7 @@ void VodServer::rebalance_now(const std::string& movie, bool authoritative) {
   ms.rebalance_timer.cancel();
   ms.conflict_counts.clear();  // the new assignment supersedes old conflicts
   ++stats_.rebalances;
+  if (!authoritative) ++stats_.fallback_rebalances;
 
   const Assignment next =
       rebalance(ms.owners, ms.view_servers, params_.rebalance_policy);

@@ -34,6 +34,9 @@ struct ServerStats {
   std::uint64_t migrations_out = 0;    // sessions handed to another server
   std::uint64_t syncs_sent = 0;
   std::uint64_t rebalances = 0;
+  /// Rebalances the table_exchange_delay timer ran before every member's
+  /// table arrived (non-authoritative; see RebalanceSnapshot).
+  std::uint64_t fallback_rebalances = 0;
   /// Group-delivered control messages this server rejected: unknown type
   /// for the channel, decoder refusal, or a client-id mismatch.
   std::uint64_t malformed_dropped = 0;

@@ -200,6 +200,59 @@ TEST(GcsDaemon, SendImmediatelyAfterJoinIsOrderedAfterJoin) {
   EXPECT_EQ(l0.messages.size(), 1u);
 }
 
+TEST(GcsDaemon, CoordinatorCallsReturnBeforeAnyCallbackRuns) {
+  // The coordinator orders its own submissions from a zero-delay step, like
+  // any remote sender's: join(), send(), send_to_group() and leave() queue
+  // and return, and the deliveries follow in submission order at the same
+  // simulated time.
+  GcsHarness h(2);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged());
+  Daemon& coord = h.daemon(0);
+  ASSERT_EQ(coord.view().id.coord, h.node(0));
+  Listener remote;
+  auto r = h.daemon(1).join("g", remote.callbacks());
+  h.run_for(sim::sec(1));
+
+  const sim::Time t0 = h.scheduler().now();
+  bool in_call = false;
+  int inside = 0;
+  std::vector<std::string> seen;
+  std::vector<sim::Time> at;
+  GroupCallbacks cbs{
+      [&](const GcsEndpoint&, std::span<const std::byte> d) {
+        inside += in_call ? 1 : 0;
+        seen.emplace_back(reinterpret_cast<const char*>(d.data()), d.size());
+        at.push_back(h.scheduler().now());
+      },
+      [&](const GroupView& v) {
+        inside += in_call ? 1 : 0;
+        seen.push_back("view" + std::to_string(v.members.size()));
+        at.push_back(h.scheduler().now());
+      }};
+  const auto call = [&](auto fn) {
+    in_call = true;
+    fn();
+    in_call = false;
+  };
+  std::unique_ptr<GroupMember> a;
+  std::unique_ptr<GroupMember> b;
+  call([&] { a = coord.join("g", cbs); });
+  call([&] { a->send(text_msg("x")); });
+  call([&] { coord.send_to_group("g", text_msg("y")); });
+  call([&] { b = coord.join("g", GroupCallbacks{}); });
+  call([&] { b->leave(); });
+  EXPECT_TRUE(seen.empty());
+
+  h.scheduler().run_until(t0);
+  EXPECT_EQ(inside, 0);
+  EXPECT_EQ(seen, (std::vector<std::string>{"view2", "x", "y", "view3",
+                                            "view2"}));
+  EXPECT_EQ(at, std::vector<sim::Time>(seen.size(), t0));
+  h.run_for(sim::sec(1));
+  EXPECT_EQ(remote.texts(), (std::vector<std::string>{"x", "y"}));
+}
+
 TEST(GcsDaemon, MessagesDeliveredUnderLoss) {
   net::LinkQuality lossy = net::lan_quality();
   lossy.loss = 0.15;

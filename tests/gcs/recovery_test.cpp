@@ -12,6 +12,42 @@ using testing::GcsHarness;
 using testing::Listener;
 using testing::text_msg;
 
+TEST(GcsRecovery, OwnMessageDeliveredDuringFlushKeepsLaterSendsFlowing) {
+  // n2 acks a view change before it has delivered its own "a", then
+  // delivers "a" in the flush. The install must not make the new
+  // coordinator wait for the sequence number "a" consumed: n2's next
+  // message is ordered in the new view.
+  GcsHarness h(4);
+  for (int i = 0; i < 3; ++i) h.start(i);
+  ASSERT_TRUE(h.run_until_converged());
+  Listener l0, l1, l2;
+  auto m0 = h.daemon(0).join("g", l0.callbacks());
+  auto m1 = h.daemon(1).join("g", l1.callbacks());
+  auto m2 = h.daemon(2).join("g", l2.callbacks());
+  h.run_for(sim::sec(1));
+
+  // "a" reaches the coordinator n0, but its ordered copy to n2 is lost,
+  // and so is the merge proposal that n3's arrival makes n0 send.
+  net::LinkQuality cut = net::lan_quality();
+  cut.loss = 1.0;
+  m2->send(text_msg("a"));
+  h.network().set_quality(h.node(0), h.node(2), cut);
+  h.start(3);
+  h.run_for(sim::msec(150));
+  ASSERT_TRUE(h.daemon(0).blocked());
+  ASSERT_TRUE(l2.messages.empty());
+  h.network().clear_quality(h.node(0), h.node(2));
+  ASSERT_TRUE(h.run_until_converged());
+  ASSERT_EQ(h.daemon(2).view().members.size(), 4u);
+  ASSERT_EQ(l2.texts(), std::vector<std::string>{"a"});
+
+  m2->send(text_msg("b"));
+  h.run_for(sim::sec(1));
+  for (const Listener* l : {&l0, &l1, &l2}) {
+    EXPECT_EQ(l->texts(), (std::vector<std::string>{"a", "b"}));
+  }
+}
+
 TEST(GcsRecovery, ProposerCrashMidViewChange) {
   // Kill the daemon that is *about to* coordinate a view change, right
   // after the change is triggered: the blocked participants' rescue path

@@ -96,6 +96,70 @@ TEST(ServerBehavior, CatalogReflectsAddAndRemove) {
   EXPECT_FALSE(bed.server(0).catalog().contains("extra"));
 }
 
+TEST(ServerBehavior, CoordinatorHostAddMovieRebalancesAuthoritatively) {
+  // The server on the daemon-view coordinator's host joins the group of a
+  // title its two peers already serve. Its first movie-group view must find
+  // the title registered, so its table goes out and every member rebalances
+  // from the complete exchange well before the fallback timer.
+  VodTestBed bed(3, 1);
+  Deployment& dep = bed.deployment();
+  ASSERT_EQ(dep.servers()[0]->daemon->view().id.coord, bed.server_host(0));
+  const auto extra = mpeg::Movie::synthetic("extra", 60.0);
+  bed.server(1).add_movie(extra);
+  bed.server(2).add_movie(extra);
+  bed.client().watch("extra");
+  bed.run_for(3.0);
+  ASSERT_TRUE(bed.client().connected());
+
+  bed.server(0).add_movie(extra);
+  bed.run_for(0.3);  // well inside table_exchange_delay (700 ms)
+  const RebalanceSnapshot* first = bed.server(0).rebalance_snapshot("extra");
+  ASSERT_NE(first, nullptr);
+  for (int s = 0; s < 3; ++s) {
+    const RebalanceSnapshot* snap = bed.server(s).rebalance_snapshot("extra");
+    ASSERT_NE(snap, nullptr) << "server " << s;
+    EXPECT_TRUE(snap->authoritative) << "server " << s;
+    EXPECT_EQ(snap->exchange_tag, first->exchange_tag) << "server " << s;
+    EXPECT_EQ(snap->view_servers.size(), 3u) << "server " << s;
+    EXPECT_EQ(snap->assignment, first->assignment) << "server " << s;
+  }
+  bed.run_for(2.0);
+  int serving = 0;
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(bed.server(s).stats().fallback_rebalances, 0u) << "server " << s;
+    serving += bed.server(s).serves(bed.client().client_id()) ? 1 : 0;
+  }
+  EXPECT_EQ(serving, 1);
+}
+
+TEST(ServerBehavior, CoordinatorHostTakeoverOfAGoneClientClosesTheSession) {
+  // A client and the server streaming to it crash together. The survivor,
+  // on the coordinator's host, takes the client over; the session group's
+  // first view lacks the client, so the survivor must close the session
+  // rather than stream to nobody, as a server on any other host does.
+  VodTestBed bed(2, 2);
+  Deployment& dep = bed.deployment();
+  bed.watch_all();
+  bed.run_for(8.0);
+  int gone = -1;
+  for (int c = 0; c < 2; ++c) {
+    if (bed.serving_server(c) == 1) gone = c;
+  }
+  ASSERT_GE(gone, 0);
+  const int kept = 1 - gone;
+  ASSERT_EQ(bed.serving_server(kept), 0);
+  ASSERT_EQ(dep.servers()[0]->daemon->view().id.coord, bed.server_host(0));
+
+  bed.crash_server(1);
+  dep.crash(dep.clients()[gone]->node);
+  bed.run_for(3.0);
+  EXPECT_EQ(bed.server(0).stats().takeovers, 1u);
+  EXPECT_FALSE(bed.server(0).serves(bed.client(gone).client_id()));
+  EXPECT_TRUE(bed.server(0).serves(bed.client(kept).client_id()));
+  EXPECT_EQ(bed.server(0).session_count(), 1u);
+  EXPECT_EQ(bed.server(0).stats().fallback_rebalances, 0u);
+}
+
 class ExactlyOneOwner : public ::testing::TestWithParam<unsigned> {};
 
 // Invariant: after any crash/recovery sequence settles, each client is
